@@ -10,6 +10,8 @@ Words are 64-bit, matching the paper's ``dev_access(uint64*)`` API.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from repro.errors import AddressError
 
 __all__ = ["FlatMemory", "WORD_BYTES"]
@@ -51,6 +53,26 @@ class FlatMemory:
         """Write the 64-bit word at byte address ``addr``."""
         self._check_word_aligned(addr)
         self._words[addr // WORD_BYTES] = value & _WORD_MASK
+
+    def write_words(
+        self, addr: int, values: Sequence[int], stride: int = WORD_BYTES
+    ) -> None:
+        """Write ``values[i]`` to the word at ``addr + i * stride``.
+
+        The bulk form of :meth:`write_word` for laying out whole arrays:
+        the address is checked once for the run, values are masked only
+        when one is out of range, and an error writes nothing.
+        """
+        self._check_word_aligned(addr)
+        if stride <= 0 or stride % WORD_BYTES != 0:
+            raise AddressError(f"stride {stride} is not a positive multiple of {WORD_BYTES}")
+        if not values:
+            return
+        if min(values) < 0 or max(values) > _WORD_MASK:
+            values = [value & _WORD_MASK for value in values]
+        first = addr // WORD_BYTES
+        step = stride // WORD_BYTES
+        self._words.update(zip(range(first, first + len(values) * step, step), values))
 
     def line_address(self, addr: int) -> int:
         """The line-aligned base address containing ``addr``."""

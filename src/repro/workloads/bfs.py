@@ -20,6 +20,7 @@ batch is the benign work loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -106,15 +107,11 @@ class CsrGraph:
         self.n = len(adjacency)
         self.base_addr = base_addr
         self.world = world
-        self.edge_count = sum(len(neighbors) for neighbors in adjacency)
+        offsets = [0, *accumulate(len(neighbors) for neighbors in adjacency)]
+        self.edge_count = offsets[-1]
         self._edges_base = base_addr + (self.n + 1) * WORD_BYTES
-        offset = 0
-        for vertex, neighbors in enumerate(adjacency):
-            world.write_word(self._offset_addr(vertex), offset)
-            for position, neighbor in enumerate(neighbors):
-                world.write_word(self._edge_addr(offset + position), neighbor)
-            offset += len(neighbors)
-        world.write_word(self._offset_addr(self.n), offset)
+        world.write_words(base_addr, offsets)
+        world.write_words(self._edges_base, list(chain.from_iterable(adjacency)))
 
     @staticmethod
     def size_bytes(adjacency: list[list[int]]) -> int:

@@ -44,7 +44,7 @@ from repro.host.system import System
 from repro.runtime.api import AccessContext
 from repro.units import US
 from repro.workloads.hashing import hash_with_seed
-from repro.workloads.memcached import KvStore, MemcachedParams
+from repro.workloads.memcached import KvStore, MemcachedParams, per_core_stores
 
 __all__ = [
     "ArrivalKind",
@@ -442,15 +442,10 @@ def install_service(
     if spans is not None:
         system.spans = spans
     state = ServiceState(system, spec, spans=spans)
-    stores: dict[int, KvStore] = {}
+    store_for = per_core_stores(system, params)
 
     def factory(ctx: AccessContext, core_id: int, slot: int):
-        if core_id not in stores:
-            base = system.alloc_data(core_id, KvStore.size_bytes(params))
-            store = KvStore(params, base, system.world)
-            store.populate(range(params.items))
-            stores[core_id] = store
-        return _service_worker(ctx, stores[core_id], state, core_id)
+        return _service_worker(ctx, store_for(core_id), state, core_id)
 
     system.spawn_per_core(workers_per_core, factory)
     for core_id in range(system.logical_cores):

@@ -12,7 +12,10 @@ post-access computation is the benign work loop.
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.errors import ConfigError
 from repro.host.system import System
@@ -21,7 +24,13 @@ from repro.runtime.api import AccessContext
 from repro.workloads.hashing import hash_with_seed, mix64
 from repro.workloads.seeds import thread_seed
 
-__all__ = ["MemcachedParams", "KvStore", "memcached_get_thread", "install_memcached"]
+__all__ = [
+    "MemcachedParams",
+    "KvStore",
+    "memcached_get_thread",
+    "install_memcached",
+    "per_core_stores",
+]
 
 #: Entry layout (one cache line): key, value pointer, next pointer.
 _ENTRY_KEY = 0
@@ -60,6 +69,48 @@ def value_word(key: int, index: int) -> int:
     return mix64(key * 31 + index)
 
 
+@dataclass(frozen=True)
+class _StoreImage:
+    """The base-address-independent part of a populated store.
+
+    Every field is immutable, so stores in different systems share one
+    image (and its int objects) but never a mutable structure.
+    """
+
+    #: Keys in insertion order (``write_words`` masks them as stored).
+    keys: tuple[int, ...]
+    #: Every key's value words, key after key.
+    values: tuple[int, ...]
+    #: Each key's bucket.
+    buckets: tuple[int, ...]
+    #: Index of the previous key in the same bucket, or -1 if none.
+    prev: tuple[int, ...]
+    #: ``(bucket, index of its last key)`` for every bucket touched.
+    heads: tuple[tuple[int, int], ...]
+    max_chain: int
+
+
+@lru_cache(maxsize=8)
+def _store_image(buckets: int, value_bytes: int, keys: tuple[int, ...]) -> _StoreImage:
+    """Hash and lay out ``keys`` once; the stores of a sweep repeat the
+    same ``(params, keys)`` build many times."""
+    bucket_of = tuple(mix64(key) % buckets for key in keys)
+    last: dict[int, int] = {}
+    prev = []
+    for index, bucket in enumerate(bucket_of):
+        prev.append(last.get(bucket, -1))
+        last[bucket] = index
+    words = range(value_bytes // WORD_BYTES)
+    return _StoreImage(
+        keys=keys,
+        values=tuple(value_word(key, index) for key in keys for index in words),
+        buckets=bucket_of,
+        prev=tuple(prev),
+        heads=tuple(last.items()),
+        max_chain=max(Counter(bucket_of).values(), default=0),
+    )
+
+
 class KvStore:
     """A chained hash table in simulated memory."""
 
@@ -96,24 +147,35 @@ class KvStore:
     # -- functional build --------------------------------------------------------
 
     def populate(self, keys) -> None:
-        """Insert every key (untimed setup).  Chains push at head."""
+        """Insert every key (untimed setup).  Chains push at head.
+
+        Bit-identical to inserting the keys one at a time: each new
+        entry links to its bucket's current head -- from this call or,
+        for a bucket's first key here, whatever the world already holds
+        -- and becomes that bucket's head.
+        """
+        image = _store_image(self.params.buckets, self.params.value_bytes, tuple(keys))
         world = self.world
-        chain_len: dict[int, int] = {}
-        for index, key in enumerate(keys):
-            bucket_addr = self._bucket_addr(key)
-            entry = self._entry_addr(index)
-            world.write_word(entry + _ENTRY_KEY, key)
-            world.write_word(entry + _ENTRY_VALUE, self._value_addr(index))
-            world.write_word(entry + _ENTRY_NEXT, world.read_word(bucket_addr))
-            world.write_word(bucket_addr, entry)
-            for word_index in range(self.params.value_bytes // WORD_BYTES):
-                world.write_word(
-                    self._value_addr(index) + word_index * WORD_BYTES,
-                    value_word(key, word_index),
-                )
-            bucket = mix64(key) % self.params.buckets
-            chain_len[bucket] = chain_len.get(bucket, 0) + 1
-            self.max_chain = max(self.max_chain, chain_len[bucket])
+        count = len(image.keys)
+        entries = range(
+            self._entries_base, self._entries_base + count * _ENTRY_BYTES, _ENTRY_BYTES
+        )
+        next_pointers = [
+            entries[prev] if prev >= 0 else world.read_word(self.base_addr + bucket * WORD_BYTES)
+            for prev, bucket in zip(image.prev, image.buckets)
+        ]
+        value_bytes = self.params.value_bytes
+        values = range(self._values_base, self._values_base + count * value_bytes, value_bytes)
+        # Values go first: with more keys than ``params.items``, late
+        # entries spill into the value region and must win, as they do
+        # when the keys go in one at a time.
+        world.write_words(self._values_base, image.values)
+        world.write_words(entries.start + _ENTRY_KEY, image.keys, _ENTRY_BYTES)
+        world.write_words(entries.start + _ENTRY_VALUE, values, _ENTRY_BYTES)
+        world.write_words(entries.start + _ENTRY_NEXT, next_pointers, _ENTRY_BYTES)
+        for bucket, index in image.heads:
+            world.write_word(self.base_addr + bucket * WORD_BYTES, entries[index])
+        self.max_chain = max(self.max_chain, image.max_chain)
 
     def get_functional(self, key: int) -> list[int] | None:
         """Untimed GET (test oracle): the value words, or None."""
@@ -172,23 +234,35 @@ def make_get_keys(params: MemcachedParams, thread_seed: int) -> list[int]:
     ]
 
 
-def install_memcached(
-    system: System, params: MemcachedParams, threads_per_core: int
-) -> dict[tuple[int, int], list]:
-    """Build one store per core, populate it, spawn GET threads."""
+def per_core_stores(system: System, params: MemcachedParams) -> Callable[[int], KvStore]:
+    """``store_for(core_id)``: the core's populated store, built on the
+    core's first call (so allocation follows thread spawn order)."""
     stores: dict[int, KvStore] = {}
-    results: dict[tuple[int, int], list] = {}
 
-    def factory(ctx: AccessContext, core_id: int, slot: int):
+    def store_for(core_id: int) -> KvStore:
         if core_id not in stores:
             base = system.alloc_data(core_id, KvStore.size_bytes(params))
             store = KvStore(params, base, system.world)
             store.populate(range(params.items))
             stores[core_id] = store
+        return stores[core_id]
+
+    return store_for
+
+
+def install_memcached(
+    system: System, params: MemcachedParams, threads_per_core: int
+) -> dict[tuple[int, int], list]:
+    """Build one store per core, populate it, spawn GET threads."""
+    store_for = per_core_stores(system, params)
+    results: dict[tuple[int, int], list] = {}
+
+    def factory(ctx: AccessContext, core_id: int, slot: int):
+        store = store_for(core_id)
         out: list = []
         results[(core_id, slot)] = out
         keys = make_get_keys(params, thread_seed=thread_seed(core_id, slot))
-        return memcached_get_thread(ctx, stores[core_id], keys, out)
+        return memcached_get_thread(ctx, store, keys, out)
 
     system.spawn_per_core(threads_per_core, factory)
     return results

@@ -72,6 +72,8 @@ def test_csr_image_roundtrips():
             world.read_word(graph._edges_base + i * 8) for i in range(start, end)
         ]
         assert stored == adjacency[vertex]
+    # Offsets and edges, and nothing else.
+    assert world.word_count() == graph.n + 1 + graph.edge_count
 
 
 def test_parallel_traversal_matches_networkx():
