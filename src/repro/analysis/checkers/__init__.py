@@ -44,6 +44,7 @@ def default_checkers() -> List[Checker]:
     from repro.analysis.checkers.kernel import (
         AcquireReleaseChecker,
         BlockingCallChecker,
+        DiscardedPutChecker,
         NegativeDelayChecker,
         PrivateQueueChecker,
     )
@@ -65,6 +66,7 @@ def default_checkers() -> List[Checker]:
         NegativeDelayChecker(),
         BlockingCallChecker(),
         PrivateQueueChecker(),
+        DiscardedPutChecker(),
         MagicUnitLiteralChecker(),
         UnitSuffixChecker(),
         TraceGuardChecker(),

@@ -26,6 +26,7 @@ __all__ = [
     "NegativeDelayChecker",
     "BlockingCallChecker",
     "PrivateQueueChecker",
+    "DiscardedPutChecker",
 ]
 
 
@@ -207,6 +208,76 @@ class PrivateQueueChecker(Checker):
                         "kernel scheduler is the only sanctioned timed "
                         "queue -- schedule per-item timeouts and close "
                         "over the payload",
+                    )
+
+
+def _is_unbounded_store(value: ast.AST) -> bool:
+    """True for a ``Store(...)`` construction without a capacity."""
+    if not isinstance(value, ast.Call):
+        return False
+    name = dotted(value.func)
+    if name is None or name.rpartition(".")[2] != "Store":
+        return False
+    if len(value.args) > 1:
+        return False
+    return all(
+        keyword.arg != "capacity"
+        or (isinstance(keyword.value, ast.Constant)
+            and keyword.value.value is None)
+        for keyword in value.keywords
+    )
+
+
+class DiscardedPutChecker(Checker):
+    """SIM211: an unbounded ``Store.put`` whose event is thrown away.
+
+    ``put`` builds, queues and fires an acceptance event.  On an
+    unbounded store nothing can wait on it, so a ``self.<attr>.put(x)``
+    expression statement is pure kernel overhead; ``push`` does the
+    same hand-off without the event.  Only attributes the class itself
+    assigns an unbounded ``Store(...)`` are checked, so other queues
+    with a ``put`` method (multiprocessing, bounded stores) are left
+    alone.
+    """
+
+    codes = ("SIM211",)
+
+    def check(self, module) -> Iterable:
+        for cls in ast.walk(module.tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            stores = set()
+            for node in ast.walk(cls):
+                if isinstance(node, ast.Assign):
+                    targets, value = node.targets, node.value
+                elif isinstance(node, ast.AnnAssign):
+                    targets, value = [node.target], node.value
+                else:
+                    continue
+                if value is None or not _is_unbounded_store(value):
+                    continue
+                for target in targets:
+                    name = dotted(target)
+                    if name is not None and name.startswith("self."):
+                        stores.add(name)
+            if not stores:
+                continue
+            for node in ast.walk(cls):
+                if not (
+                    isinstance(node, ast.Expr)
+                    and isinstance(node.value, ast.Call)
+                    and isinstance(node.value.func, ast.Attribute)
+                    and node.value.func.attr == "put"
+                ):
+                    continue
+                receiver = dotted(node.value.func.value)
+                if receiver in stores:
+                    yield module.finding(
+                        "SIM211",
+                        node.value,
+                        f"{receiver}.put() discards its acceptance event "
+                        "on an unbounded Store; nothing waits on it, so "
+                        f"use {receiver}.push() and fire no event",
                     )
 
 

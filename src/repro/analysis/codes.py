@@ -102,6 +102,13 @@ _ALL = [
         "guarantees); schedule per-item timeouts and close over the "
         "payload instead",
     ),
+    CodeInfo(
+        "SIM211",
+        "discarded Store.put event",
+        "self.<attr>.put(...) as a bare statement on an unbounded Store "
+        "builds, queues and fires an acceptance event nothing waits on; "
+        "push() does the same hand-off without the event",
+    ),
     # -- SIM3xx: units / config ------------------------------------------
     CodeInfo(
         "SIM301",

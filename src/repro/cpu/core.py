@@ -123,10 +123,11 @@ class OutOfOrderCore:
         return event
 
     def _dispatch(self, ticks: int):
-        """Consume front-end time, arbitrating with any SMT sibling."""
-        if self._front_end is None:
-            yield self.sim.timeout(ticks)
-            return
+        """Consume front-end time shared with an SMT sibling.
+
+        Only for cores with a shared front end; without one, dispatch
+        is a plain ``timeout`` that the callers yield themselves.
+        """
         grant = self._front_end.acquire()
         try:
             if not grant.fired:
@@ -165,14 +166,19 @@ class OutOfOrderCore:
         if instructions == 0:
             return self._fired_event()
         chunk_size = self.config.work_chunk_instructions
+        rob = self.rob
         previous: Optional[Event] = None
         remaining = instructions
         first = True
         while remaining > 0:
             chunk = min(chunk_size, remaining)
             remaining -= chunk
-            yield from self.rob.allocate(chunk)
-            yield from self._dispatch(self._dispatch_ticks(chunk))
+            if not rob.try_allocate(chunk):
+                yield from rob.allocate(chunk)
+            if self._front_end is None:
+                yield self.sim.timeout(self._dispatch_ticks(chunk))
+            else:
+                yield from self._dispatch(self._dispatch_ticks(chunk))
             gates: list[Event] = []
             if previous is not None:
                 gates.append(previous)
@@ -186,7 +192,7 @@ class OutOfOrderCore:
                 completion = self.sim.delayed(gates[0], exec_ticks)
             else:
                 completion = self.sim.delayed(all_of(self.sim, gates), exec_ticks)
-            self.rob.commit(chunk, completion, self._retire_hook(chunk, count_as_work))
+            rob.commit(chunk, completion, self._retire_hook(chunk, count_as_work))
             previous = completion
         return previous
 
@@ -204,10 +210,15 @@ class OutOfOrderCore:
         The token's event fires with the line data.  The load occupies
         one ROB slot until it completes (and everything older retires).
         """
-        yield from self.rob.allocate(1)
-        yield from self._dispatch(self._dispatch_ticks(1))
+        rob = self.rob
+        if not rob.try_allocate(1):
+            yield from rob.allocate(1)
+        if self._front_end is None:
+            yield self.sim.timeout(self._dispatch_ticks(1))
+        else:
+            yield from self._dispatch(self._dispatch_ticks(1))
         data_event = self.memsys.load_line(addr, space)
-        self.rob.commit(1, data_event, self._retire_hook(1, False))
+        rob.commit(1, data_event, self._retire_hook(1, False))
         return LoadToken(data_event, addr, self.memsys.line_of(addr))
 
     def issue_store(self, addr: int, space: AddressSpace, num_bytes: int = 8):
@@ -223,14 +234,19 @@ class OutOfOrderCore:
                 f"core{self.core_id}: no store buffer attached (writes "
                 "need a System-built memory subsystem)"
             )
-        yield from self.rob.allocate(1)
-        yield from self._dispatch(self._dispatch_ticks(1))
+        rob = self.rob
+        if not rob.try_allocate(1):
+            yield from rob.allocate(1)
+        if self._front_end is None:
+            yield self.sim.timeout(self._dispatch_ticks(1))
+        else:
+            yield from self._dispatch(self._dispatch_ticks(1))
         from repro.cpu.storebuffer import PendingStore
 
         yield from self.memsys.store_buffer.post(
             PendingStore(addr, space, num_bytes)
         )
-        self.rob.commit(1, self._fired_event(), self._retire_hook(1, False))
+        rob.commit(1, self._fired_event(), self._retire_hook(1, False))
 
     def wait_data(self, token: LoadToken):
         """Block the front end until ``token``'s line has arrived.
@@ -254,10 +270,15 @@ class OutOfOrderCore:
         core to the fill rate); under the ``drop`` policy it retires
         immediately, discarded if no buffer was free.
         """
-        yield from self.rob.allocate(1)
-        yield from self._dispatch(self._dispatch_ticks(1))
+        rob = self.rob
+        if not rob.try_allocate(1):
+            yield from rob.allocate(1)
+        if self._front_end is None:
+            yield self.sim.timeout(self._dispatch_ticks(1))
+        else:
+            yield from self._dispatch(self._dispatch_ticks(1))
         issued = self.memsys.prefetch_line(addr, space)
-        self.rob.commit(1, issued, self._retire_hook(1, False))
+        rob.commit(1, issued, self._retire_hook(1, False))
 
     def run_instructions(self, instructions: int, count_as_work: bool = False):
         """Dispatch-and-forget an overhead instruction block.

@@ -7,6 +7,21 @@ dispatch" (section III-B).  This module models exactly that: dispatch
 allocates slots, completion is out of order, retirement is in order,
 and a long-latency load at the head holds every younger instruction's
 slots hostage.
+
+Two fast paths keep the model off the kernel's hot path:
+
+* ``try_allocate(slots)`` is a plain call that takes free slots if no
+  older request is queued, and returns False otherwise.  Only then does
+  the front end fall back to the ``allocate`` generator, which waits
+  for a grant.  Most dispatches never stall, so most skip the
+  generator.
+* Retirement is a callback chain, not a process.  Committed groups wait
+  in a deque.  One zero-delay step (a kernel ``Continuation``) is
+  scheduled whenever retirement has work; the step retires the head
+  group if its completion has fired and otherwise waits on that
+  completion.  This is the exact firing order of the loop it replaces
+  (``Store.get()`` plus ``yield done`` in a process), with no store
+  hand-off event and no generator resume per group.
 """
 
 from __future__ import annotations
@@ -15,7 +30,7 @@ from collections import deque
 from typing import Callable, Deque, Generator, Optional
 
 from repro.errors import SimulationError
-from repro.sim import Event, Simulator, Store
+from repro.sim import Continuation, Event, Simulator
 
 __all__ = ["ReorderBuffer"]
 
@@ -43,7 +58,9 @@ class ReorderBuffer:
         self.capacity = capacity
         self.name = name
         self.free = capacity
-        self._entries: Store = Store(sim, name=f"{name}-entries")
+        self._groups: Deque[
+            tuple[int, Event, Optional[Callable[[], None]]]
+        ] = deque()
         self._waiters: Deque[tuple[int, Event]] = deque()
         self._idle_waiters: list[Event] = []
         self.max_used = 0
@@ -57,7 +74,10 @@ class ReorderBuffer:
         self.tracer = None
         self._trace_pid = 0
         self._trace_tid = 0
-        sim.process(self._retire_loop(), name=f"{name}-retire")
+        # Retirement is parked (no step queued, no completion awaited)
+        # until the first commit.
+        self._parked = True
+        self._retire = Continuation(sim, self._retire_step, f"{name}-retire")
 
     def attach_tracer(self, tracer, pid: int, tid: int) -> None:
         self.tracer = tracer
@@ -82,8 +102,9 @@ class ReorderBuffer:
     def used(self) -> int:
         return self.capacity - self.free
 
-    def allocate(self, slots: int) -> Generator[Event, object, None]:
-        """Generator: stall until ``slots`` ROB slots are available."""
+    def try_allocate(self, slots: int) -> bool:
+        """Take ``slots`` free slots now, unless that would overtake a
+        stalled request; never waits.  Returns whether it took them."""
         if slots > self.capacity:
             raise SimulationError(
                 f"{self.name}: group of {slots} exceeds ROB capacity "
@@ -91,27 +112,37 @@ class ReorderBuffer:
             )
         if slots <= 0:
             raise SimulationError("allocation must be positive")
-        if self.free >= slots and not self._waiters:
-            self.free -= slots
+        free = self.free
+        if free >= slots and not self._waiters:
+            self.free = free = free - slots
             self.allocated_slots += slots
+            used = self.capacity - free
+            if used > self.max_used:
+                self.max_used = used
+            return True
+        return False
+
+    def allocate(self, slots: int) -> Generator[Event, object, None]:
+        """Generator: stall until ``slots`` ROB slots are available."""
+        if self.try_allocate(slots):
+            return
+        grant = Event(self.sim)
+        self._waiters.append((slots, grant))
+        tracer = self.tracer
+        if tracer is None:
+            yield grant
         else:
-            grant = Event(self.sim)
-            self._waiters.append((slots, grant))
-            tracer = self.tracer
-            if tracer is None:
-                yield grant
-            else:
-                stalled_at = self.sim.now
-                yield grant
-                tracer.complete(
-                    "rob",
-                    self._trace_pid,
-                    self._trace_tid,
-                    "rob-stall",
-                    stalled_at,
-                    self.sim.now,
-                    args={"slots": slots, "used": self.used},
-                )
+            stalled_at = self.sim.now
+            yield grant
+            tracer.complete(
+                "rob",
+                self._trace_pid,
+                self._trace_tid,
+                "rob-stall",
+                stalled_at,
+                self.sim.now,
+                args={"slots": slots, "used": self.used},
+            )
         self.max_used = max(self.max_used, self.used)
 
     def commit(
@@ -121,25 +152,45 @@ class ReorderBuffer:
         on_retire: Optional[Callable[[], None]] = None,
     ) -> None:
         """Enter an allocated group into the retirement FIFO."""
-        self._entries.put((slots, done, on_retire))
+        self._groups.append((slots, done, on_retire))
+        if self._parked:
+            self._parked = False
+            self._retire.schedule()
 
-    def _retire_loop(self):
-        while True:
-            slots, done, on_retire = yield self._entries.get()
-            if not done.fired:
-                yield done
-            self.free += slots
-            self.retired_slots += slots
-            if self.free > self.capacity:  # pragma: no cover - invariant
-                raise SimulationError(f"{self.name}: retired more than allocated")
-            self.retired_groups += 1
-            if on_retire is not None:
-                on_retire()
+    def _retire_step(self, _event: Event) -> None:
+        """Retire the head group, or wait for its completion.
+
+        A completion that had already fired when the step ran retires
+        whatever its outcome; a failure seen while waiting crashes the
+        run, naming ``<rob>-retire``.
+        """
+        groups = self._groups
+        slots, done, on_retire = groups[0]
+        if not done.fired:
+            self._retire.wait(done)
+            return
+        groups.popleft()
+        self.free = free = self.free + slots
+        self.retired_slots += slots
+        if free > self.capacity:  # pragma: no cover - invariant
+            raise SimulationError(f"{self.name}: retired more than allocated")
+        self.retired_groups += 1
+        if on_retire is not None:
+            on_retire()
+        if self._waiters:
             self._grant_waiters()
-            if self.free == self.capacity and not self._waiters:
-                waiters, self._idle_waiters = self._idle_waiters, []
-                for waiter in waiters:
-                    waiter.succeed(None)
+        if (
+            self._idle_waiters
+            and self.free == self.capacity
+            and not self._waiters
+        ):
+            waiters, self._idle_waiters = self._idle_waiters, []
+            for waiter in waiters:
+                waiter.succeed(None)
+        if groups:
+            self._retire.schedule()
+        else:
+            self._parked = True
 
     def idle(self) -> Event:
         """An event firing when the ROB has fully drained."""

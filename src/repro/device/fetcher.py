@@ -138,7 +138,7 @@ class RequestFetcher:
 
     def deliver_completion(self, tlp: Tlp) -> None:
         """A descriptor-read completion returned from the host."""
-        self._replies.put(tlp.data)
+        self._replies.push(tlp.data)
 
     # -- engine -------------------------------------------------------------------
 

@@ -77,7 +77,7 @@ class DramChannel:
         if num_bytes <= 0:
             raise ConfigError(f"{self.name}: access of {num_bytes} bytes")
         done = Event(self.sim)
-        self._queue.put(_DramRequest(num_bytes, done, value))
+        self._queue.push(_DramRequest(num_bytes, done, value))
         return done
 
     def post_write(self, num_bytes: int) -> Event:
@@ -86,7 +86,7 @@ class DramChannel:
         if num_bytes <= 0:
             raise ConfigError(f"{self.name}: write of {num_bytes} bytes")
         done = Event(self.sim)
-        self._queue.put(_DramRequest(num_bytes, done, None, include_latency=False))
+        self._queue.push(_DramRequest(num_bytes, done, None, include_latency=False))
         return done
 
     def _pump(self):

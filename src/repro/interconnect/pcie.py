@@ -96,7 +96,7 @@ class PcieDirection:
         posted semantics; backpressure appears as queueing delay)."""
         tlp.sent_at = self.sim.now
         self.tlps_sent += 1
-        self._queue.put(tlp)
+        self._queue.push(tlp)
 
     def _pump(self):
         propagation = ns(self.config.propagation_ns)

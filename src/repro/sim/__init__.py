@@ -1,6 +1,7 @@
 """Discrete-event simulation kernel (events, processes, resources, probes)."""
 
 from repro.sim.kernel import (
+    Continuation,
     Event,
     KernelStatsCollector,
     Process,
@@ -13,6 +14,7 @@ from repro.sim.resources import Resource, Store
 from repro.sim.trace import Counter, LatencyStat, ProbeSet, TimeWeighted
 
 __all__ = [
+    "Continuation",
     "Event",
     "KernelStatsCollector",
     "Process",

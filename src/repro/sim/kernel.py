@@ -93,6 +93,7 @@ from typing import Any, Callable, Generator, Iterable, Iterator, Optional
 from repro.errors import SimulationError
 
 __all__ = [
+    "Continuation",
     "Event",
     "Process",
     "Simulator",
@@ -157,7 +158,8 @@ class Event:
 
     An event starts *pending*.  Calling :meth:`succeed` or :meth:`fail`
     *triggers* it, scheduling its callbacks to run at the current
-    simulation time.  Once triggered an event is immutable.
+    simulation time.  Once triggered an event is immutable; the one
+    exception is :class:`Continuation`, which is re-armed to fire again.
 
     Callback storage is lazy: ``_callback`` holds the first waiter,
     ``_callbacks`` a list for the (rare) second and later waiters, and
@@ -454,6 +456,82 @@ class _ConditionEvent(Event):
             self.succeed(event._value)
 
 
+class _DelayedEvent(Event):
+    """The event :meth:`Simulator.delayed` returns.
+
+    Like :class:`_ConditionEvent`, it is its own upstream callback
+    (:meth:`__call__`), so chaining a fixed latency behind an event
+    allocates one slotted object and no closure.
+    """
+
+    __slots__ = ("_delay",)
+
+    def __init__(self, sim: "Simulator", delay: int) -> None:
+        super().__init__(sim)
+        self._delay = delay
+
+    def __call__(self, event: Event) -> None:
+        """The upstream event fired: fail now, or fire ``_delay`` later."""
+        if event._exception is not None:
+            self.fail(event._exception)
+        elif self._delay == 0:
+            self.succeed(event._value)
+        else:
+            self._value = event._value
+            self.sim._schedule(self, self._delay)
+
+
+class Continuation(Event):
+    """A reusable zero-delay callback: a process-free loop body.
+
+    It replaces a process that alternates ``yield store.get()`` with
+    ``yield done``, and it keeps that process's firing order:
+
+    * :meth:`schedule` queues one call of ``fn(self)`` on the run queue
+      at the current tick.  This is where an immediately granted
+      ``get()`` event would sit.
+    * :meth:`wait` calls ``fn(event)`` when ``event`` fires, from the
+      same callback-list position a process yielding ``event`` would
+      take.  If ``event`` fails, the failure escapes the run and is
+      annotated with ``name``, like a crash in a process nobody waits
+      on.
+
+    It is the one event that fires more than once: each
+    :meth:`schedule` re-arms it, so a chain of steps allocates nothing.
+    At most one firing may be pending at a time.
+    """
+
+    __slots__ = ("_fn", "name")
+
+    def __init__(
+        self, sim: "Simulator", fn: Callable[[Event], None], name: str
+    ) -> None:
+        super().__init__(sim)
+        self._fn = fn
+        self.name = name
+        self._value = None
+        self._scheduled = True
+
+    def schedule(self) -> None:
+        """Queue one call of ``fn(self)`` at the current tick."""
+        fn = self._fn
+        if self._callback is fn:
+            raise SimulationError(f"continuation {self.name!r} scheduled twice")
+        self._callback = fn
+        self.sim._runq_append(self)
+
+    def wait(self, event: Event) -> None:
+        """Call ``fn(event)`` when ``event`` fires; a failure crashes
+        the run."""
+        event.add_callback(self)
+
+    def __call__(self, event: Event) -> None:
+        """The awaited ``event`` fired."""
+        if event._exception is not None:
+            raise _annotate(event._exception, self.name)
+        self._fn(event)
+
+
 def all_of(sim: "Simulator", events: Iterable[Event]) -> Event:
     """An event firing when *all* of ``events`` succeed.
 
@@ -605,17 +683,8 @@ class Simulator:
         Used to model fixed-latency stages downstream of a variable-time
         event (e.g. "execute for N cycles once the load data arrives").
         """
-        result = Event(self)
-
-        def _chain(ev: Event) -> None:
-            if ev._exception is not None:
-                result.fail(ev._exception)
-            elif delay == 0:
-                result.succeed(ev._value)
-            else:
-                self._schedule_value(result, delay, ev._value)
-
-        after.add_callback(_chain)
+        result = _DelayedEvent(self, delay)
+        after.add_callback(result)
         return result
 
     # -- scheduling internals ----------------------------------------------

@@ -125,8 +125,9 @@ class Store:
     """A FIFO of items with optional bounded capacity.
 
     ``put(item)`` returns an event firing once the item is accepted
-    (immediately if there is space); ``get()`` returns an event firing
-    with the oldest item once one is available.
+    (immediately if there is space); ``push(item)`` is its
+    fire-and-forget form for unbounded stores; ``get()`` returns an
+    event firing with the oldest item once one is available.
     """
 
     def __init__(
@@ -177,6 +178,29 @@ class Store:
         event._callbacks = None
         sim._runq_append(event)
         return event
+
+    def push(self, item: Any) -> None:
+        """Enqueue ``item`` without an acceptance event (unbounded only).
+
+        The fire-and-forget form of :meth:`put` for callers that would
+        discard its event: the getter hand-off and the ``total_puts`` /
+        ``max_level`` statistics are identical, but no event is built,
+        queued and fired that nothing waits on.  A bounded store can
+        refuse an item, so it has no fire-and-forget form.
+        """
+        if self.capacity is not None:
+            raise SimulationError(
+                f"push() on bounded store {self.name!r}; use put() and wait"
+            )
+        self.total_puts += 1
+        if self._getters:
+            self._getters.popleft().succeed(item)
+        else:
+            items = self._items
+            items.append(item)
+            level = len(items)
+            if level > self.max_level:
+                self.max_level = level
 
     def get(self) -> Event:
         """Take the oldest item; the returned event fires with it."""

@@ -90,11 +90,14 @@ class Frequency:
     def __post_init__(self) -> None:
         if self.hertz <= 0:
             raise ValueError(f"frequency must be positive, got {self.hertz}")
+        # Converted once: cycles() runs per dispatched instruction block.
+        # Not a field, so equality, hashing and repr are unaffected.
+        object.__setattr__(self, "_period_ps", max(1, round(S / self.hertz)))
 
     @property
     def period_ps(self) -> int:
         """Length of one cycle in simulation ticks (>= 1)."""
-        return max(1, round(S / self.hertz))
+        return self._period_ps
 
     def cycles(self, n: float) -> int:
         """Duration of ``n`` cycles in simulation ticks.
@@ -102,11 +105,11 @@ class Frequency:
         ``n`` may be fractional (e.g. instructions / IPC); the result is
         rounded to the nearest tick.
         """
-        return round(n * self.period_ps)
+        return round(n * self._period_ps)
 
     def to_cycles(self, ticks: int) -> float:
         """Convert a tick duration to (float) cycles of this clock."""
-        return ticks / self.period_ps
+        return ticks / self._period_ps
 
 
 def gigahertz(value: float) -> Frequency:

@@ -241,10 +241,27 @@ class _InterruptAfter:
         pass
 
 
-def test_interrupted_sweep_resumes_bit_for_bit(tmp_path):
-    jobs = [_job(work) for work in (10, 20, 30, 40, 50, 60)]
+def test_interrupted_sweep_resumes_bit_for_bit(tmp_path, monkeypatch):
+    works = (10, 20, 30, 40, 50, 60)
+    jobs = [_job(work) for work in works]
     reference = SweepEngine(jobs=2, use_cache=False)
     expected = reference.run(SweepSpec(name="resume", jobs=list(jobs)))
+
+    # Make the interrupt point deterministic: in the interrupted run,
+    # workers may finish only the first three jobs.  The rest wait on a
+    # release file that only the resume phase creates, so the third
+    # ``job_done`` always lands with three jobs still unresolved.
+    release = tmp_path / "release"
+    held = set(works[3:])
+
+    def _held_until_resume(job, collect_metrics=False, check_invariants=False):
+        if job.spec.work_count in held and _in_worker():
+            deadline = time.monotonic() + 120.0
+            while not release.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+        return _REAL_EXECUTE(job, collect_metrics, check_invariants)
+
+    monkeypatch.setattr(sweep_mod, "_execute_job", _held_until_resume)
 
     queue_dir = tmp_path / "q"
     interrupted = SweepEngine(
@@ -257,6 +274,7 @@ def test_interrupted_sweep_resumes_bit_for_bit(tmp_path):
     partial = interrupted.last_stats["queue"]["counts"]
     assert 0 < partial[DONE] < len(jobs)
 
+    release.touch()
     resumed = SweepEngine(jobs=2, use_cache=False, queue_dir=queue_dir)
     outcomes = resumed.run(SweepSpec(name="resume", jobs=list(jobs)))
 

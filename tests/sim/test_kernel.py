@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Simulator, all_of, any_of
+from repro.sim import Continuation, Simulator, all_of, any_of
 
 
 def test_timeout_advances_clock():
@@ -285,6 +285,45 @@ def test_delayed_propagates_failure():
     base.fail(RuntimeError("bad"))
     with pytest.raises(RuntimeError, match="bad"):
         sim.run(chained)
+
+
+def test_continuation_fires_in_run_queue_order_and_rearms():
+    sim = Simulator()
+    log = []
+    step = Continuation(sim, lambda _ev: log.append(("step", sim.now)), "loop")
+    marker = sim.event()
+    marker.add_callback(lambda _ev: log.append(("marker", sim.now)))
+
+    step.schedule()
+    marker.succeed()
+    sim.run()
+    # Re-armed after firing: a second run-queue firing, then one driven
+    # by an awaited event.
+    step.schedule()
+    later = sim.timeout(7)
+    step.wait(later)
+    sim.run()
+    assert log == [("step", 0), ("marker", 0), ("step", 0), ("step", 7)]
+    assert step.fired
+
+
+def test_continuation_rejects_a_second_pending_firing():
+    sim = Simulator()
+    step = Continuation(sim, lambda _ev: None, "loop")
+    step.schedule()
+    with pytest.raises(SimulationError, match="'loop' scheduled twice"):
+        step.schedule()
+
+
+def test_continuation_awaiting_a_failed_event_crashes_the_run():
+    sim = Simulator()
+    step = Continuation(sim, lambda _ev: None, "retire-loop")
+    done = sim.event()
+    step.wait(done)
+    done.fail(ValueError("faulted"))
+    with pytest.raises(ValueError, match="faulted") as info:
+        sim.run()
+    assert any("'retire-loop'" in note for note in info.value.__notes__)
 
 
 def test_run_until_time_stops_clock_at_horizon():

@@ -250,3 +250,62 @@ def test_average_occupancy_is_side_effect_free():
     assert probed._occupancy_integral == control._occupancy_integral
     assert probed._last_change == control._last_change
     assert probed.average_occupancy() == control.average_occupancy()
+
+
+def test_store_push_hands_off_to_getters_in_fifo_order():
+    sim = Simulator()
+    store = Store(sim)
+    got = []
+
+    def consumer(tag):
+        item = yield store.get()
+        got.append((tag, item, sim.now))
+
+    for tag in "abc":
+        sim.process(consumer(tag))
+    sim.run()
+
+    def producer():
+        yield sim.timeout(5)
+        for item in (1, 2, 3, 4):
+            assert store.push(item) is None
+
+    sim.process(producer())
+    sim.run()
+    assert got == [("a", 1, 5), ("b", 2, 5), ("c", 3, 5)]
+    # The fourth item found no getter and waits in the store.
+    assert len(store) == 1
+    assert store.try_get() == (True, 4)
+
+
+def test_store_push_statistics_match_put():
+    def fill(use_push):
+        sim = Simulator()
+        store = Store(sim)
+
+        def consumer():
+            yield store.get()
+
+        sim.process(consumer())
+        sim.run()
+        for item in range(5):
+            if use_push:
+                store.push(item)
+            else:
+                store.put(item)
+        sim.run()
+        return store.total_puts, store.max_level, len(store), sim.events_fired
+
+    pushed, put = fill(True), fill(False)
+    assert pushed[:3] == put[:3] == (5, 4, 4)
+    # Same hand-off and statistics, minus one acceptance event per put.
+    assert put[3] - pushed[3] == 5
+
+
+def test_store_push_rejects_a_bounded_store():
+    sim = Simulator()
+    store = Store(sim, capacity=2, name="ring")
+    with pytest.raises(SimulationError, match="ring"):
+        store.push(1)
+    assert len(store) == 0
+    assert store.total_puts == 0

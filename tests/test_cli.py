@@ -266,7 +266,14 @@ def test_profile_command_microbench():
     assert "kernel.py" in text
 
 
-def test_profile_command_figure():
+def test_profile_command_figure(monkeypatch):
+    from repro.harness import figures
+
+    # Profile the real fig3 path on a trimmed grid: one thread count per
+    # latency instead of seven keeps every layer the command touches.
+    monkeypatch.setattr(
+        figures, "_threads_grid", lambda scale, full, quick: [quick[2]]
+    )
     code, text = run_cli("profile", "fig3", "--scale", "quick", "--top", "3")
     assert code == 0
     assert "profiled      : fig3 --scale quick" in text
